@@ -71,6 +71,7 @@ void Run(int argc, char** argv) {
   // HS-IDJ and AM-IDJ (estimated eDmax) through the umbrella API.
   std::vector<std::vector<double>> series;
   std::vector<std::string> names;
+  std::vector<JoinStats> work;  // per cursor series, after the last step
   for (const auto algorithm :
        {core::IdjAlgorithm::kHsIdj, core::IdjAlgorithm::kAmIdj}) {
     JoinStats stats;
@@ -86,6 +87,7 @@ void Run(int argc, char** argv) {
       (*cursor)->PrefetchHint(step * kStep);
       drain(**cursor, kStep);
     }));
+    work.push_back(stats);
   }
 
   // AM-IDJ driven by the true Dmax of each step.
@@ -100,6 +102,7 @@ void Run(int argc, char** argv) {
       drain(cursor, kStep);
     }));
     env.pool->SetStatsSink(nullptr);
+    work.push_back(stats);
   }
 
   // SJ-SORT restarted per step; time accumulates across restarts.
@@ -139,6 +142,19 @@ void Run(int argc, char** argv) {
     std::vector<std::string> row = {names[i]};
     for (double v : series[i]) row.push_back(FormatSeconds(v));
     PrintRow(row, widths);
+  }
+
+  // Host-independent work of the cursor series over all ten steps.
+  std::printf("\n");
+  const std::vector<int> work_widths = {20, 12, 12, 12, 12};
+  PrintRow({"work @100k", "dist comp", "queue ins", "comp ins", "node acc"},
+           work_widths);
+  for (size_t i = 0; i < work.size(); ++i) {
+    PrintRow({names[i], FormatCount(work[i].real_distance_computations),
+              FormatCount(work[i].main_queue_insertions),
+              FormatCount(work[i].compensation_queue_insertions),
+              FormatCount(work[i].node_accesses)},
+             work_widths);
   }
 }
 

@@ -9,6 +9,40 @@
 #include "core/plane_sweeper.h"
 
 namespace amdj::core {
+namespace {
+
+// Stage cap size as a multiple of the stage target. On Zipf data a smaller
+// factor gets the first pair sooner but ends large-k stages too early
+// (2x: p90 latency +21%), a larger one floods the queue again before the
+// first pair (8x: first pair +15%); DESIGN.md "AM-IDJ stage cap".
+constexpr uint64_t kStageCapFactor = 4;
+
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+}
+
+// m for a stage that targets `target` pairs in total when `produced` have
+// already been emitted; 0 (uncapped) when 2m would not fit in 64 bits.
+uint64_t StageCapSize(uint64_t target, uint64_t produced) {
+  if (target > UINT64_MAX / (2 * kStageCapFactor)) return 0;
+  const uint64_t m = kStageCapFactor * target;
+  return m - std::min(produced, m);
+}
+
+}  // namespace
+
+void AmIdjCursor::StageCap::Reset(uint64_t m) {
+  m_ = m;
+  bound_ = geom::KeyVal::Infinity();
+  keys_.clear();
+}
+
+void AmIdjCursor::StageCap::Cut() {
+  const auto mth = keys_.begin() + static_cast<std::ptrdiff_t>(m_ - 1);
+  std::nth_element(keys_.begin(), mth, keys_.end());
+  bound_ = *mth;
+  keys_.resize(m_);
+}
 
 AmIdjCursor::AmIdjCursor(const rtree::RTree& r, const rtree::RTree& s,
                          const JoinOptions& options, JoinStats* stats)
@@ -45,6 +79,8 @@ Status AmIdjCursor::Prime() {
     forced_next_edmax_.reset();
   } else {
     first = InitialEdmaxEstimate(options_, *estimator_, k1);
+    // Forced cutoffs (either path) are exact figure inputs: never capped.
+    if (!options_.forced_edmax) stage_cap_.Reset(StageCapSize(k1, 0));
   }
   if (options_.report != nullptr) {
     options_.report->BeginPhase("stage-1", *stats_);
@@ -61,6 +97,7 @@ Status AmIdjCursor::Prime() {
 Status AmIdjCursor::StartNewStage() {
   ++stage_count_;
   geom::DistVal next = geom::DistVal::Zero();
+  stage_cap_.Reset(0);
   if (forced_next_edmax_.has_value()) {
     next = *forced_next_edmax_;
     forced_next_edmax_.reset();
@@ -68,8 +105,11 @@ Status AmIdjCursor::StartNewStage() {
     // Target roughly double the pairs produced so far (at least the hint
     // and at least one more initial batch), then re-estimate the cutoff
     // from the freshest ground truth: the produced_-th distance.
-    const uint64_t k_next = std::max<uint64_t>(
-        {target_hint_, produced_ * 2, produced_ + options_.idj_initial_k});
+    const uint64_t k_next = std::max(
+        target_hint_,
+        SaturatingAdd(produced_,
+                      std::max(produced_, options_.idj_initial_k)));
+    stage_cap_.Reset(StageCapSize(k_next, produced_));
     const bool aggressive =
         options_.correction == CorrectionPolicy::kAggressive;
     if (options_.estimator != nullptr || produced_ == 0) {
@@ -109,24 +149,40 @@ Status AmIdjCursor::StartNewStage() {
                : std::max(estimator_->EstimateDmax(1),
                           geom::DistVal(1e-12));
   }
+  if (queue_.Empty()) {
+    // Only deferred pairs remain: reach at least the nearest pruned child,
+    // or the stage would recover nothing.
+    geom::KeyVal nearest = geom::KeyVal::Infinity();
+    for (const Deferred& d : compensation_) {
+      nearest = std::min(nearest, d.resume_key);
+    }
+    next = std::max(next, geom::KeyToDistance(nearest, options_.metric));
+  }
   if (options_.report != nullptr) {
     options_.report->BeginPhase("stage-" + std::to_string(stage_count_),
                                 *stats_);
     options_.report->OnCutoff("stage_edmax", next.raw(), produced_);
   }
+  edmax_ = geom::DistanceToKeyCutoff(next, options_.metric);
+  // Recover only the pairs whose pruned children this stage can admit; the
+  // rest stay deferred, so no stage re-sweeps a pair for nothing.
+  size_t kept = 0;
+  for (const Deferred& d : compensation_) {
+    if (d.resume_key > edmax_) {
+      compensation_[kept++] = d;
+    } else {
+      AMDJ_RETURN_IF_ERROR(queue_.Push(d.pair));
+    }
+  }
+  const size_t recovered = compensation_.size() - kept;
+  compensation_.resize(kept);
   AMDJ_TRACE(options_.tracer, Counter("edmax", next.raw()));
   AMDJ_TRACE(options_.tracer,
              Instant("stage_start",
                      {{"stage", static_cast<double>(stage_count_)},
                       {"edmax", next.raw()},
                       {"produced", static_cast<double>(produced_)},
-                      {"recovered",
-                       static_cast<double>(compensation_.size())}}));
-  edmax_ = geom::DistanceToKeyCutoff(next, options_.metric);
-  for (const PairEntry& e : compensation_) {
-    AMDJ_RETURN_IF_ERROR(queue_.Push(e));
-  }
-  compensation_.clear();
+                      {"recovered", static_cast<double>(recovered)}}));
   return Status::OK();
 }
 
@@ -180,24 +236,36 @@ Status AmIdjCursor::Expand(PairEntry c) {
         sweep_status = queue_.Push(e);
         if (!sweep_status.ok()) {
           axis_cutoff = geom::KeyVal(-1.0);  // abort the sweep
+        } else if (e.IsObjectPair()) {
+          stage_cap_.Offer(dist_key);
         }
       });
   AMDJ_RETURN_IF_ERROR(sweep_status);
 
   if (!sweep.axis_covered || sweep.dist_filtered) {
     // The expansion skipped children that a later, larger cutoff could
-    // admit: record it (with the cutoff that bounds the examined region)
-    // for compensation. Fully covered pairs never re-enter — this is what
-    // guarantees termination once eDmax exceeds the data diameter. The max
-    // keeps the bookkeeping exact if a forced cutoff ever shrinks.
+    // admit: record it (with the cutoff that bounds the examined region,
+    // and the smallest key it pruned) for compensation. Fully covered
+    // pairs never re-enter — this is what guarantees termination once
+    // eDmax exceeds the data diameter. The max keeps the bookkeeping exact
+    // when the stage cap or a forced cutoff shrinks eDmax.
     c.prior_cutoff = std::max(edmax_, prior);
     c.prior_axis = static_cast<int8_t>(plan.axis);
     c.prior_dir =
         plan.dir == geom::SweepDirection::kForward ? int8_t{0} : int8_t{1};
-    compensation_.push_back(c);
+    compensation_.push_back({c, sweep.min_pruned_key});
     ++stats_->compensation_queue_insertions;
   }
   return Status::OK();
+}
+
+void AmIdjCursor::ClampToStageCap() {
+  edmax_ = stage_cap_.bound();
+  const double edmax = geom::KeyToDistance(edmax_, options_.metric).raw();
+  if (options_.report != nullptr) {
+    options_.report->OnCutoff("stage_clamp", edmax, produced_);
+  }
+  AMDJ_TRACE(options_.tracer, Counter("edmax", edmax));
 }
 
 Status AmIdjCursor::Next(ResultPair* out, bool* done) {
@@ -214,12 +282,14 @@ Status AmIdjCursor::Next(ResultPair* out, bool* done) {
       continue;
     }
     AMDJ_RETURN_IF_ERROR(queue_.Pop(&c));
+    // Between sweeps, so every compensation record keeps its own cutoff.
+    if (stage_cap_.bound() < edmax_) ClampToStageCap();
     if (c.key > edmax_) {
       // Everything within the current cutoff has been surfaced; grow it
       // and recover the aggressively pruned children before going deeper.
       // Checked before emission: an object pair beyond the cutoff must not
-      // overtake pruned-but-closer pairs (can only arise under a forced,
-      // shrinking cutoff schedule, but order is sacred).
+      // overtake pruned-but-closer pairs (the stage cap or a forced,
+      // shrinking cutoff schedule queue such pairs; order is sacred).
       AMDJ_RETURN_IF_ERROR(queue_.Push(c));
       AMDJ_RETURN_IF_ERROR(StartNewStage());
       continue;

@@ -26,6 +26,11 @@ namespace amdj::core {
 /// pairs re-enter the main queue, and their sweeps resume exactly where the
 /// previous cutoff stopped them. Results stream out in globally
 /// non-decreasing distance order across stages.
+///
+/// Each estimated stage is also capped by its own output: once the stage
+/// has pushed m object pairs, eDmax_i shrinks to the m-th smallest key
+/// among them (m = 4x the stage target), so an overestimate on skewed data
+/// cannot flood the main queue. See DESIGN.md "AM-IDJ stage cap".
 class AmIdjCursor : public DistanceJoinCursor {
  public:
   /// Neither tree nor stats ownership is taken; both must outlive the
@@ -62,6 +67,32 @@ class AmIdjCursor : public DistanceJoinCursor {
   /// Expands a node pair under the current eDmax, resuming a previous
   /// partial sweep when the pair carries compensation bookkeeping.
   Status Expand(PairEntry c);
+  /// Lowers eDmax to the stage cap, which the caller found below it.
+  /// Called between sweeps only: compensation records one cutoff per sweep.
+  void ClampToStageCap();
+
+  /// Upper bound on the m-th smallest key offered since Reset(m), kept in
+  /// an amortized top-m buffer: keys below the bound are appended, and at
+  /// 2m keys nth_element keeps the m smallest and the m-th becomes the
+  /// bound. O(1) amortized per key; nothing is reserved up front.
+  class StageCap {
+   public:
+    /// m == 0 disables the cap (bound stays +inf); 2m must fit in 64 bits.
+    void Reset(uint64_t m);
+    void Offer(geom::KeyVal key) {
+      if (m_ != 0 && key < bound_) {
+        keys_.push_back(key);
+        if (keys_.size() == 2 * m_) Cut();
+      }
+    }
+    geom::KeyVal bound() const { return bound_; }
+
+   private:
+    void Cut();
+    uint64_t m_ = 0;
+    geom::KeyVal bound_ = geom::KeyVal::Infinity();
+    std::vector<geom::KeyVal> keys_;
+  };
 
   const rtree::RTree& r_;
   const rtree::RTree& s_;
@@ -71,7 +102,13 @@ class AmIdjCursor : public DistanceJoinCursor {
   DmaxEstimator fallback_estimator_;
   const CutoffEstimator* estimator_;  // options_.estimator or the fallback
   MainQueue queue_;
-  std::vector<PairEntry> compensation_;
+  /// A partially expanded pair and a lower bound on the keys of the
+  /// children its sweep pruned: it re-enters only a stage that can admit one.
+  struct Deferred {
+    PairEntry pair;
+    geom::KeyVal resume_key;
+  };
+  std::vector<Deferred> compensation_;
   /// Stage cutoff in key space (geom::KeyVal), like every internal
   /// cutoff; estimator calls and the public accessors convert.
   geom::KeyVal edmax_ = geom::KeyVal::Zero();
@@ -79,6 +116,7 @@ class AmIdjCursor : public DistanceJoinCursor {
   uint64_t target_hint_ = 0;
   uint64_t produced_ = 0;
   geom::DistVal last_distance_ = geom::DistVal::Zero();
+  StageCap stage_cap_;
   uint32_t stage_count_ = 0;
   bool primed_ = false;
   bool exhausted_ = false;

@@ -120,8 +120,11 @@ struct JoinOptions {
   /// First-stage target cardinality for AM-IDJ when no hint is given.
   uint64_t idj_initial_k = 4096;
 
-  /// How runtime corrections combine (AM-IDJ stage transitions).
-  CorrectionPolicy correction = CorrectionPolicy::kConservative;
+  /// How runtime corrections combine (AM-IDJ stage transitions). The
+  /// aggressive min is the default: on skewed data Eq. 4's global density
+  /// overshoots, and the max would let a stage admit far more than its
+  /// cap before the cap binds (DESIGN.md "AM-IDJ stage cap").
+  CorrectionPolicy correction = CorrectionPolicy::kAggressive;
 
   /// Use the Eq.-3 boundary formula to predetermine hybrid-queue segment
   /// boundaries (Section 4.4). Disabled = adaptive median splits only.

@@ -166,6 +166,9 @@ struct KeyedSweepResult {
   /// True if some candidate passed the axis test but exceeded the distance
   /// cutoff (AM-IDJ must also compensate those).
   bool dist_filtered = false;
+  /// Lower bound on the key of every candidate the sweep pruned (the
+  /// smallest dropped distance key or cut-off axis key); +inf if none.
+  geom::KeyVal min_pruned_key = geom::KeyVal::Infinity();
 };
 
 /// The keyed, kernel-batched sweep the join algorithms run on: same anchor
@@ -248,6 +251,7 @@ KeyedSweepResult PlaneSweepKeyed(const std::vector<PairRef>& left,
         const geom::KeyVal axis_key = geom::AxisGapToKey(gap, spec.metric);
         if (axis_key > *spec.axis_cutoff_key) {
           result.axis_covered = false;
+          result.min_pruned_key = std::min(result.min_pruned_key, axis_key);
           cut = true;  // keys ascend: nothing further fits this anchor
           break;
         }
@@ -261,6 +265,7 @@ KeyedSweepResult PlaneSweepKeyed(const std::vector<PairRef>& left,
         if (dist_key <= spec.skip_dist_below_key) continue;
         if (dist_key > *spec.dist_cutoff_key) {
           result.dist_filtered = true;
+          result.min_pruned_key = std::min(result.min_pruned_key, dist_key);
           continue;
         }
         if (anchor_is_left) {
