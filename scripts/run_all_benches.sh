@@ -5,19 +5,19 @@
 #   scripts/run_all_benches.sh build results --streets=633461 --hydro=189642
 #
 # Besides the human-readable tables in OUT_DIR, assembles a machine-readable
-# BENCH_PR10.json at the repo root: per figure-bench the wall ms, node
-# accesses and distance computations of every measured run (emitted by
-# bench_common via AMDJ_BENCH_JSON), per microbench the google-benchmark
-# JSON entries including custom counters (per-op push/pop latency, queue
+# snapshot OUT_DIR/BENCH.json (host core count in `nproc`): per figure-bench
+# the wall ms, node accesses and distance computations of every measured
+# run (emitted by bench_common via AMDJ_BENCH_JSON), per microbench the
+# google-benchmark JSON entries including custom counters (per-op push/pop latency, queue
 # splits/swap-ins/prefetch hits), and per throughput-bench (the closed-loop
 # multi_query replay and the open-loop Poisson bench) its own --json
 # summary with qps and p50/p99/p999 latency — so the perf trajectory is
-# tracked PR over PR against the checked-in BENCH_PR2.json baseline. Each
+# tracked PR over PR against the checked-in BENCH_PR*.json snapshots (check
+# one in by copying OUT_DIR/BENCH.json to the repo root). Each
 # figure bench also gets a <name>.reports.jsonl of per-run RunReport JSON
 # (phase deltas + cutoff trajectory) via AMDJ_BENCH_REPORT_JSON.
 set -u
 
-REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD_DIR=${1:-build}
 OUT_DIR=${2:-bench_results}
 shift 2 2>/dev/null || shift $# 2>/dev/null || true
@@ -62,7 +62,7 @@ for bench in "$BUILD_DIR"/bench/*; do
   fi
 done
 
-# Assemble BENCH_PR10.json from the per-bench artifacts.
+# Assemble OUT_DIR/BENCH.json from the per-bench artifacts.
 if command -v jq >/dev/null 2>&1; then
   {
     # bench -> total wall ms and exit code, as measured by this script
@@ -101,16 +101,17 @@ if command -v jq >/dev/null 2>&1; then
       jq '{(.bench // "unknown"): .}' "$f"
     done | jq -s 'add // {}' >"$OUT_DIR/json/_throughput.json"
     jq -s '{schema: "amdj-bench-v1",
-            flags: $flags,
+            flags: $flags, nproc: $nproc,
             wall: .[0], figures: .[1], micro: .[2], throughput: .[3]}' \
        --arg flags "${EXTRA_FLAGS[*]:-}" \
+       --argjson nproc "$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)" \
        "$OUT_DIR/json/_wall.json" "$OUT_DIR/json/_figs.json" \
        "$OUT_DIR/json/_micro.json" "$OUT_DIR/json/_throughput.json" \
-       >"$REPO_ROOT/BENCH_PR10.json"
-    echo "wrote $REPO_ROOT/BENCH_PR10.json"
-  } || { echo "BENCH_PR10.json assembly failed" >&2; status=1; }
+       >"$OUT_DIR/BENCH.json"
+    echo "wrote $OUT_DIR/BENCH.json"
+  } || { echo "BENCH.json assembly failed" >&2; status=1; }
 else
-  echo "jq not found: skipping BENCH_PR10.json" >&2
+  echo "jq not found: skipping BENCH.json" >&2
 fi
 
 echo "outputs in $OUT_DIR/"

@@ -26,31 +26,33 @@ void DiskManager::CountWrite(PageId page_id) {
   last_write_ = page_id;
 }
 
+PageId DiskManager::TakeLowestFreePage() {
+  ++stats_.pages_allocated;
+  if (free_pages_.empty()) return kInvalidPageId;
+  return free_pages_.extract(free_pages_.begin()).value();
+}
+
+void DiskManager::AddFreePage(PageId page_id) {
+  if (!free_pages_.insert(page_id).second) {
+    // A double free would let AllocatePage hand this id to two callers.
+    AMDJ_LOG(kWarn) << "double free of page " << page_id << " ignored";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // InMemoryDiskManager
 
 PageId InMemoryDiskManager::AllocatePage() {
   const MutexLock lock(&mutex_);
-  ++stats_.pages_allocated;
-  if (!free_list_.empty()) {
-    const PageId id = free_list_.back();
-    free_list_.pop_back();
-    free_set_.erase(id);
-    return id;
-  }
+  const PageId reused = TakeLowestFreePage();
+  if (reused != kInvalidPageId) return reused;
   pages_.push_back(std::make_unique<char[]>(kPageSize));
   return static_cast<PageId>(pages_.size() - 1);
 }
 
 void InMemoryDiskManager::FreePage(PageId page_id) {
   const MutexLock lock(&mutex_);
-  if (page_id >= pages_.size()) return;
-  if (!free_set_.insert(page_id).second) {
-    // A double free would let AllocatePage hand this id to two callers.
-    AMDJ_LOG(kWarn) << "double free of page " << page_id << " ignored";
-    return;
-  }
-  free_list_.push_back(page_id);
+  if (page_id < pages_.size()) AddFreePage(page_id);
 }
 
 Status InMemoryDiskManager::ReadPage(PageId page_id, char* out) {
@@ -116,24 +118,13 @@ FileDiskManager::~FileDiskManager() {
 
 PageId FileDiskManager::AllocatePage() {
   const MutexLock lock(&mutex_);
-  ++stats_.pages_allocated;
-  if (!free_list_.empty()) {
-    const PageId id = free_list_.back();
-    free_list_.pop_back();
-    free_set_.erase(id);
-    return id;
-  }
-  return page_count_++;
+  const PageId reused = TakeLowestFreePage();
+  return reused != kInvalidPageId ? reused : page_count_++;
 }
 
 void FileDiskManager::FreePage(PageId page_id) {
   const MutexLock lock(&mutex_);
-  if (page_id >= page_count_) return;
-  if (!free_set_.insert(page_id).second) {
-    AMDJ_LOG(kWarn) << "double free of page " << page_id << " ignored";
-    return;
-  }
-  free_list_.push_back(page_id);
+  if (page_id < page_count_) AddFreePage(page_id);
 }
 
 Status FileDiskManager::SeekToPage(PageId page_id) {

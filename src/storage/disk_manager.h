@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/annotations.h"
@@ -45,10 +45,13 @@ class DiskManager {
  public:
   virtual ~DiskManager() = default;
 
-  /// Allocates a new page (possibly reusing a freed one) and returns its id.
+  /// Allocates a page and returns its id. The bundled managers reuse the
+  /// lowest freed id first and append a fresh page only when none is
+  /// free, so pages allocated back to back take ascending, mostly
+  /// consecutive ids and their writes count as sequential.
   virtual PageId AllocatePage() = 0;
 
-  /// Returns a page to the allocator's free list. Freeing a page that is
+  /// Returns a page to the allocator's free set. Freeing a page that is
   /// already free is rejected (logged and ignored): admitting the
   /// duplicate would hand the same id to two later AllocatePage callers,
   /// silently aliasing their pages.
@@ -76,14 +79,24 @@ class DiskManager {
   void CountRead(PageId page_id) AMDJ_REQUIRES(mutex_);
   void CountWrite(PageId page_id) AMDJ_REQUIRES(mutex_);
 
-  /// Guards stats_ / last_read_ / last_write_ here, plus the derived
-  /// manager's page table and free list (one lock per manager).
+  /// Counts one allocation and takes the lowest free id out of the free
+  /// set, or returns kInvalidPageId when the caller must append a page.
+  PageId TakeLowestFreePage() AMDJ_REQUIRES(mutex_);
+  /// Adds `page_id` to the free set, rejecting a double free.
+  void AddFreePage(PageId page_id) AMDJ_REQUIRES(mutex_);
+
+  /// Guards stats_ / last_read_ / last_write_ / free_pages_ here, plus
+  /// the derived manager's page table (one lock per manager).
   mutable Mutex mutex_;
   DiskStats stats_ AMDJ_GUARDED_BY(mutex_);
 
  private:
   PageId last_read_ AMDJ_GUARDED_BY(mutex_) = kInvalidPageId;
   PageId last_write_ AMDJ_GUARDED_BY(mutex_) = kInvalidPageId;
+  /// Ordered, so reuse is lowest id first: pages handed out in
+  /// descending order would make every spill write a backward seek (a
+  /// random-rate write in the cost model).
+  std::set<PageId> free_pages_ AMDJ_GUARDED_BY(mutex_);
 };
 
 /// Heap-backed DiskManager. Used by tests and by benches that only care
@@ -100,9 +113,6 @@ class InMemoryDiskManager : public DiskManager {
 
  private:
   std::vector<std::unique_ptr<char[]>> pages_ AMDJ_GUARDED_BY(mutex_);
-  std::vector<PageId> free_list_ AMDJ_GUARDED_BY(mutex_);
-  /// Mirrors free_list_ for O(1) checks.
-  std::unordered_set<PageId> free_set_ AMDJ_GUARDED_BY(mutex_);
 };
 
 /// File-backed DiskManager (one flat file of 4 KB pages).
@@ -140,9 +150,6 @@ class FileDiskManager : public DiskManager {
   /// seek+read/write pairs on it are serialized by mutex_.
   std::FILE* file_ AMDJ_PT_GUARDED_BY(mutex_) = nullptr;
   uint32_t page_count_ AMDJ_GUARDED_BY(mutex_) = 0;
-  std::vector<PageId> free_list_ AMDJ_GUARDED_BY(mutex_);
-  /// Mirrors free_list_ for O(1) checks.
-  std::unordered_set<PageId> free_set_ AMDJ_GUARDED_BY(mutex_);
 };
 
 /// Wraps another DiskManager and injects failures, for testing error paths.

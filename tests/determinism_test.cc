@@ -110,6 +110,43 @@ TEST_P(DeterminismTest, AsyncSpillIoMatchesSynchronousBitForBit) {
   EXPECT_EQ(sync_run.node_accesses, async_run.node_accesses);
 }
 
+// A spill disk outlives the join that filled it: the service and the
+// benches run join after join on one queue disk. The second join gets
+// every page back from the free set, and reusing them lowest id first
+// keeps its spill writes streaming (charged at the sequential rate, as
+// the first join's fresh appends are) without changing a single pair.
+TEST(SpillDiskReuseTest, SecondJoinOnReusedSpillDiskWritesSequentially) {
+  workload::TigerSynthOptions wopts;
+  wopts.street_segments = 4000;
+  wopts.hydro_objects = 1200;
+  wopts.seed = 424242;
+  test::JoinFixture f = test::MakeFixture(workload::TigerStreets(wopts),
+                                          workload::TigerHydro(wopts), 32,
+                                          128);
+  JoinOptions options;
+  options.queue_disk = f.queue_disk.get();
+  options.queue_memory_bytes = 32 * 1024;
+  auto first = RunKDistanceJoin(*f.r, *f.s, 2000, KdjAlgorithm::kBKdj,
+                                options, nullptr);
+  ASSERT_TRUE(first.ok());
+  const storage::DiskStats before = f.queue_disk->stats();
+  auto second = RunKDistanceJoin(*f.r, *f.s, 2000, KdjAlgorithm::kBKdj,
+                                 options, nullptr);
+  ASSERT_TRUE(second.ok());
+  const storage::DiskStats after = f.queue_disk->stats();
+
+  const uint64_t writes = after.page_writes - before.page_writes;
+  const uint64_t sequential =
+      after.sequential_writes - before.sequential_writes;
+  ASSERT_GT(writes, 0u) << "the second join did not spill";
+  EXPECT_GE(sequential * 10, writes * 9)
+      << sequential << " of " << writes << " spill writes sequential";
+  ASSERT_EQ(first->size(), second->size());
+  for (size_t i = 0; i < first->size(); ++i) {
+    ASSERT_EQ((*first)[i], (*second)[i]) << "rank " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKdj, DeterminismTest,
                          ::testing::Values(KdjAlgorithm::kHsKdj,
                                            KdjAlgorithm::kBKdj,

@@ -127,6 +127,21 @@ TYPED_TEST(DiskManagerTest, DoubleFreeIsRejected) {
   EXPECT_EQ(this->disk_->AllocatePage(), c);
 }
 
+// Freed pages are reused lowest id first, whatever order they were freed
+// in, and only then is a fresh page appended. Reuse in descending order
+// would make every spill write a backward seek, charged by the cost model
+// at the random rate.
+TYPED_TEST(DiskManagerTest, ReusesFreedPagesLowestIdFirst) {
+  for (int i = 0; i < 10; ++i) this->disk_->AllocatePage();
+  this->disk_->FreePage(9);
+  this->disk_->FreePage(2);
+  this->disk_->FreePage(5);
+  EXPECT_EQ(this->disk_->AllocatePage(), 2u);
+  EXPECT_EQ(this->disk_->AllocatePage(), 5u);
+  EXPECT_EQ(this->disk_->AllocatePage(), 9u);
+  EXPECT_EQ(this->disk_->AllocatePage(), 10u);
+}
+
 TEST(FileDiskManagerTest, UnwrittenAllocatedPageReadsAsZeros) {
   const std::string path = ::testing::TempDir() + "/amdj_zero_test.db";
   FileDiskManager disk(path);
