@@ -2,10 +2,12 @@
 #define AMDJ_CORE_PAIR_ENTRY_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "geom/metric.h"
 #include "geom/rect.h"
+#include "queue/spill_codec.h"
 
 namespace amdj::core {
 
@@ -27,8 +29,8 @@ struct PairRef {
 };
 
 /// An element of the main queue: a pair of refs plus bookkeeping for the
-/// adaptive multi-stage algorithms. Trivially copyable so the hybrid queue
-/// can spill it to disk bytewise.
+/// adaptive multi-stage algorithms. Trivially copyable; the hybrid queue
+/// spills it through SpillCodec<PairEntry> (below).
 struct PairEntry {
   /// MinDistanceKey(r.rect, s.rect); the priority. A metric *key* — the
   /// squared distance under L2 (see geom::DistanceToKey) — not a distance;
@@ -105,5 +107,65 @@ struct ResultPair {
 };
 
 }  // namespace amdj::core
+
+namespace amdj::queue {
+
+/// The main queue's spill record. An object pair that was never expanded
+/// (the bulk of every spilled pile) is written short: a tag byte, the key
+/// and the two object ids, 17 bytes. Every other pair — node pairs, the
+/// mixed node/object pairs of unidirectional HS, and any pair carrying
+/// prior_* expansion state — is written as a tag byte plus its bytes
+/// verbatim and decodes byte-identical.
+///
+/// A short record decodes with both MBRs zeroed. That is safe because an
+/// object pair is only ever emitted or compared once queued: emission reads
+/// key, r.id and s.id, and PairEntryCompare reads key, objectness and ids.
+/// Nothing expands an object pair, so nothing reads its MBRs.
+template <>
+struct SpillCodec<core::PairEntry> {
+  static constexpr char kFullTag = 0;
+  static constexpr char kObjectPairTag = 1;
+  static constexpr size_t kObjectPairSize =
+      1 + sizeof(geom::KeyVal) + 2 * sizeof(uint32_t);
+  static constexpr size_t kMaxSize = 1 + sizeof(core::PairEntry);
+
+  /// True when `e` round-trips through the short form (MBRs aside).
+  static bool IsShort(const core::PairEntry& e) {
+    return e.IsObjectPair() && e.r.level == 0 && e.s.level == 0 &&
+           e.prior_cutoff == core::PairEntry::kNeverExpanded &&
+           e.prior_axis == -1 && e.prior_dir == 0;
+  }
+
+  static size_t Encode(const core::PairEntry& e, char* out) {
+    if (!IsShort(e)) {
+      out[0] = kFullTag;
+      std::memcpy(out + 1, &e, sizeof(e));
+      return kMaxSize;
+    }
+    out[0] = kObjectPairTag;
+    std::memcpy(out + 1, &e.key, sizeof(e.key));
+    std::memcpy(out + 1 + sizeof(e.key), &e.r.id, sizeof(e.r.id));
+    std::memcpy(out + 1 + sizeof(e.key) + sizeof(e.r.id), &e.s.id,
+                sizeof(e.s.id));
+    return kObjectPairSize;
+  }
+
+  static size_t Decode(const char* in, core::PairEntry* out) {
+    if (in[0] == kFullTag) {
+      std::memcpy(out, in + 1, sizeof(*out));
+      return kMaxSize;
+    }
+    *out = core::PairEntry();
+    out->r.kind = core::RefKind::kObject;
+    out->s.kind = core::RefKind::kObject;
+    std::memcpy(&out->key, in + 1, sizeof(out->key));
+    std::memcpy(&out->r.id, in + 1 + sizeof(out->key), sizeof(out->r.id));
+    std::memcpy(&out->s.id, in + 1 + sizeof(out->key) + sizeof(out->r.id),
+                sizeof(out->s.id));
+    return kObjectPairSize;
+  }
+};
+
+}  // namespace amdj::queue
 
 #endif  // AMDJ_CORE_PAIR_ENTRY_H_

@@ -2,7 +2,6 @@
 #define AMDJ_QUEUE_HYBRID_QUEUE_H_
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -11,17 +10,15 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/metrics.h"
-#include "common/mutex.h"
 #include "common/run_report.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_checker.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "geom/units.h"
 #include "queue/binary_heap.h"
 #include "queue/segment_file.h"
+#include "queue/spill_codec.h"
 #include "storage/disk_manager.h"
 
 namespace amdj::queue {
@@ -62,15 +59,10 @@ namespace amdj::queue {
 /// never spilled (a key plateau must never straddle the memory/disk
 /// boundary).
 ///
-/// Async spill I/O: with `Options::io_pool`, segment page writes are
-/// double-buffered on the pool (see SegmentFile), and while the front
-/// drains the queue *prefetches* the next shortest-range segment — a pool
-/// worker reads a snapshot of its full pages into a byte buffer, ordered
-/// after the writes that produced them by the SegmentFile sequence
-/// handshake. The worker touches only that buffer, the thread-safe disk
-/// manager/tracer, and the handshake state — never the queue structure,
-/// which stays coordinator-confined; the coordinator harvests the buffer
-/// (and reads the post-snapshot tail itself) at swap-in.
+/// Spilled entries go through SpillCodec<T> (queue/spill_codec.h): a
+/// segment holds encoded records back to back, and a swap-in decodes the
+/// whole pile in append order, so it rebuilds the same vector whatever the
+/// encoding. All spill I/O is synchronous on the coordinating thread.
 ///
 /// If `boundary_fn` is provided, segment boundaries are predetermined at
 /// construction as boundary_fn(i * n) for memory capacity n, which routes
@@ -97,15 +89,14 @@ namespace amdj::queue {
 /// Concurrency contract: thread-confined. The queue — in particular the
 /// split/swap-in path, which rewrites the bucket and segment structure
 /// together — is mutated exclusively by the coordinating (query) thread;
-/// the parallel executor's workers never touch it, and spill-I/O workers
-/// touch only the byte-buffer handshakes described above. Confinement is
+/// the parallel executor's workers never touch it. Confinement is
 /// enforced: every mutating entry point checks the confinement owner
 /// (common/thread_checker.h) and aborts on a cross-thread call instead of
 /// corrupting the boundary structure.
 template <typename T, typename Compare>
 class HybridQueue {
   static_assert(std::is_trivially_copyable_v<T>,
-                "queue entries are spilled to disk by memcpy");
+                "the default spill codec copies entries bytewise");
   static_assert(std::is_same_v<decltype(T::key), geom::KeyVal>,
                 "the priority member must be a metric key (geom::KeyVal): "
                 "bucket/segment boundaries partition key space");
@@ -133,17 +124,9 @@ class HybridQueue {
     /// More buckets make overflow spills finer-grained; 1 disables the
     /// subdivision (a single catch-all bucket, refined adaptively).
     size_t memory_buckets = 16;
-    /// Optional pool for asynchronous spill I/O: double-buffered segment
-    /// page writes and next-segment prefetch. nullptr (the default) keeps
-    /// all I/O synchronous on the coordinator thread. Not owned. Must NOT
-    /// be a pool whose workers themselves drive queries into this queue
-    /// (e.g. the join service's query pool): a full pool of such workers
-    /// would wait on I/O tasks that can never be scheduled.
-    ThreadPool* io_pool = nullptr;
     /// Optional observability hooks (common/trace.h, common/run_report.h):
-    /// split/swap-in/prefetch events and per-push depth samples. Both
-    /// nullable (the default), not owned. The tracer is thread-safe and
-    /// is also handed to I/O workers; the report is coordinator-only.
+    /// split/swap-in events and per-push depth samples. Both nullable (the
+    /// default), not owned.
     Tracer* tracer = nullptr;
     RunReport* report = nullptr;
   };
@@ -181,13 +164,6 @@ class HybridQueue {
     }
   }
 
-  ~HybridQueue() {
-    // The prefetch worker reads pages owned by a segment about to be
-    // destroyed; segments themselves quiesce their writers in their own
-    // destructors.
-    AbandonPrefetch();
-  }
-
   HybridQueue(const HybridQueue&) = delete;
   HybridQueue& operator=(const HybridQueue&) = delete;
 
@@ -205,7 +181,8 @@ class HybridQueue {
     }
     SegmentFile* seg = RouteToSegment(item.key);
     const uint64_t before = seg->count();
-    const Status appended = seg->Append(&item);
+    char record[Codec::kMaxSize];
+    const Status appended = seg->Append(record, Codec::Encode(item, record));
     // A record staged before a failed page flush is inside seg->count()
     // (retained for retry) even though the push failed — mirror it in the
     // running total so TotalSize() keeps matching the per-segment counts.
@@ -282,10 +259,6 @@ class HybridQueue {
   size_t bucket_count() const { return buckets_.size(); }
   /// Adaptive front-bucket refinements (gather+sort passes).
   uint64_t refine_count() const { return refines_; }
-  /// Swap-ins whose prefetch had already completed (overlap won) / had to
-  /// be waited for (overlap partial).
-  uint64_t prefetch_hit_count() const { return prefetch_hits_; }
-  uint64_t prefetch_wait_count() const { return prefetch_waits_; }
 
  private:
   /// A key range of the in-memory tier. Only the front bucket is ever
@@ -316,20 +289,7 @@ class HybridQueue {
     const T* item;
   };
 
-  /// Result buffer of an in-flight next-segment read. The coordinator owns
-  /// it; the pool worker fills `data` and flips `done` under `mu` — the
-  /// entire cross-thread surface.
-  struct Prefetch {
-    SegmentFile* seg = nullptr;
-    size_t snap_pages = 0;      ///< Full pages covered by the snapshot.
-    uint64_t snap_records = 0;  ///< snap_pages * records-per-page.
-    std::vector<char> data;     ///< Written by the worker before `done`.
-    Mutex mu;
-    CondVar cv;
-    bool done AMDJ_GUARDED_BY(mu) = false;
-    Status status AMDJ_GUARDED_BY(mu);
-    uint64_t page_reads AMDJ_GUARDED_BY(mu) = 0;
-  };
+  using Codec = SpillCodec<T>;
 
   /// Runs of at least this size seal into their own block; smaller ones
   /// go through the fresh heap (a cursor block must be worth its scan slot
@@ -344,11 +304,27 @@ class HybridQueue {
   static constexpr size_t kMaxExemptBlocks = 32;
 
   std::unique_ptr<SegmentFile> MakeSegment(geom::KeyVal lower_bound) {
-    auto seg = std::make_unique<SegmentFile>(options_.disk, sizeof(T),
-                                             stats_, options_.io_pool,
-                                             options_.tracer);
+    auto seg = std::make_unique<SegmentFile>(options_.disk, stats_);
     seg->lower_bound = lower_bound;
     return seg;
+  }
+
+  /// Encodes `n` entries and appends them to `seg`, a few pages at a time.
+  static Status SpillTo(SegmentFile* seg, const T* items, size_t n) {
+    char chunk[8 * storage::kPageSize];
+    static_assert(sizeof(chunk) >= Codec::kMaxSize);
+    size_t size = 0;
+    size_t records = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (size + Codec::kMaxSize > sizeof(chunk)) {
+        AMDJ_RETURN_IF_ERROR(seg->Append(chunk, size, records));
+        size = 0;
+        records = 0;
+      }
+      size += Codec::Encode(items[i], chunk + size);
+      ++records;
+    }
+    return seg->Append(chunk, size, records);
   }
 
   /// Records one successful insertion (call after the entry is in). The
@@ -572,8 +548,8 @@ class HybridQueue {
         buckets_.pop_back();
         if (bucket.entries.empty()) continue;  // never-used range: no pile
         auto seg = MakeSegment(bucket.lower_bound);
-        const Status spilled = seg->AppendMany(
-            bucket.entries.data(), bucket.entries.size());
+        const Status spilled = SpillTo(seg.get(), bucket.entries.data(),
+                                       bucket.entries.size());
         if (!spilled.ok()) {
           // Nothing landed durably: drop the half-written segment (its
           // staged bytes with it) and put the bucket back — the queue
@@ -699,7 +675,7 @@ class HybridQueue {
 
     auto seg = MakeSegment(items[cut].key);
     const Status spilled =
-        seg->AppendMany(items.data() + cut, items.size() - cut);
+        SpillTo(seg.get(), items.data() + cut, items.size() - cut);
     if (!spilled.ok()) {
       // Keep everything resident (sorted — it becomes the drain) and
       // surface the error; the half-written segment dies here.
@@ -750,9 +726,8 @@ class HybridQueue {
     blocks_.push_back(std::move(b));
   }
 
-  /// Memory underflow: load the shortest-range segment (through the
-  /// prefetch buffer when one targeted it); if it exceeds the memory
-  /// capacity, re-spill its farther part in page-sized batches.
+  /// Memory underflow: load the shortest-range segment; if it exceeds the
+  /// memory capacity, re-spill its farther part in one batch.
   Status SwapIn() {
     std::unique_ptr<SegmentFile> seg = std::move(segments_.front());
     segments_.erase(segments_.begin());
@@ -781,8 +756,8 @@ class HybridQueue {
       const size_t keep = TieSafeCut(items, capacity_);
       if (keep < items.size()) {
         auto respill = MakeSegment(items[keep].key);
-        const Status spilled = respill->AppendMany(
-            items.data() + keep, items.size() - keep);
+        const Status spilled = SpillTo(respill.get(), items.data() + keep,
+                                       items.size() - keep);
         if (!spilled.ok()) {
           // Keep the whole load resident rather than lose the tail; the
           // error still aborts the join upstream.
@@ -794,7 +769,6 @@ class HybridQueue {
       }
     }
     InstallFront(std::move(items), sorted);
-    StartPrefetch();
     return Status::OK();
   }
 
@@ -814,127 +788,16 @@ class HybridQueue {
     }
   }
 
-  /// Reads a segment into `items` (sized to seg->count()), consuming the
-  /// prefetch buffer when it targeted this segment: the snapshot part is a
-  /// memcpy, and only the pages appended after the snapshot are read here.
-  Status LoadSegment(SegmentFile* seg, std::vector<T>* items) {
-    char* out = reinterpret_cast<char*>(items->data());
-    if (prefetch_ != nullptr && prefetch_->seg == seg) {
-      std::unique_ptr<Prefetch> pf = std::move(prefetch_);
-      bool waited;
-      uint64_t wait_nanos = 0;
-      {
-        MutexLock lock(&pf->mu);
-        waited = !pf->done;
-        if (waited && MetricsEnabled()) {
-          const uint64_t wait_start = MetricsNowNanos();
-          while (!pf->done) pf->cv.Wait(&pf->mu);
-          wait_nanos = MetricsNowNanos() - wait_start;
-        } else {
-          while (!pf->done) pf->cv.Wait(&pf->mu);
-        }
-        if (stats_ != nullptr) stats_->queue_page_reads += pf->page_reads;
-      }
-      if (waited) {
-        static Histogram* wait_histogram =
-            MetricsRegistry::Global()->GetHistogram(
-                "amdj_queue_prefetch_wait_ns", "",
-                "Consumer waits for an in-flight segment prefetch to finish");
-        wait_histogram->Observe(wait_nanos);
-        ++prefetch_waits_;
-        if (stats_ != nullptr) ++stats_->queue_prefetch_waits;
-        AMDJ_TRACE(options_.tracer,
-                   Instant("queue_prefetch_wait",
-                           {{"pages",
-                             static_cast<double>(pf->snap_pages)}}));
-      } else {
-        ++prefetch_hits_;
-        if (stats_ != nullptr) ++stats_->queue_prefetch_hits;
-        AMDJ_TRACE(options_.tracer,
-                   Instant("queue_prefetch_hit",
-                           {{"pages",
-                             static_cast<double>(pf->snap_pages)}}));
-      }
-      Status status;
-      {
-        MutexLock lock(&pf->mu);
-        status = pf->status;
-      }
-      AMDJ_RETURN_IF_ERROR(status);
-      std::memcpy(out, pf->data.data(), pf->snap_records * sizeof(T));
-      return seg->ReadTailInto(pf->snap_pages,
-                               out + pf->snap_records * sizeof(T));
-    }
-    return seg->ReadAllInto(out);
-  }
-
-  /// Kicks off an async read of the next non-empty segment's current full
-  /// pages, overlapping its I/O with the front bucket's drain. One in
-  /// flight at a time; a prefetch for a not-yet-front segment stays alive
-  /// until that segment's own swap-in.
-  void StartPrefetch() {
-    if (options_.io_pool == nullptr || prefetch_ != nullptr) return;
-    SegmentFile* seg = nullptr;
-    for (const auto& s : segments_) {
-      if (s->count() > 0) {
-        seg = s.get();
-        break;
-      }
-    }
-    if (seg == nullptr || seg->pages().empty()) return;
-
-    auto pf = std::make_unique<Prefetch>();
-    pf->seg = seg;
-    pf->snap_pages = seg->pages().size();
-    pf->snap_records =
-        static_cast<uint64_t>(pf->snap_pages) * seg->RecordsPerPage();
-    pf->data.resize(pf->snap_records * sizeof(T));
-    const uint64_t write_seq = seg->write_seq();
-    std::vector<storage::PageId> page_ids(
-        seg->pages().begin(), seg->pages().begin() + pf->snap_pages);
-    AMDJ_TRACE(options_.tracer,
-               Instant("queue_prefetch_submit",
-                       {{"pages", static_cast<double>(pf->snap_pages)},
-                        {"lower_bound_key", seg->lower_bound.raw()}}));
-    Prefetch* p = pf.get();
-    storage::DiskManager* disk = options_.disk;
-    Tracer* tracer = options_.tracer;
-    const size_t per_page = seg->RecordsPerPage();
-    options_.io_pool->Submit([p, disk, tracer, seg, write_seq, per_page,
-                              page_ids = std::move(page_ids)]() {
-      // Order after the writes that produced the snapshot pages. Those
-      // writes were submitted before this task, so on a FIFO pool the
-      // wait cannot deadlock even with a single worker.
-      Status status = seg->WaitWritesThrough(write_seq);
-      uint64_t reads = 0;
-      if (status.ok()) {
-        const TraceSpan span(
-            tracer, "spill_prefetch_io",
-            {{"pages", static_cast<double>(page_ids.size())}});
-        status = SegmentFile::ReadPagesInto(
-            disk, page_ids, sizeof(T), per_page,
-            std::numeric_limits<uint64_t>::max(), p->data.data(), &reads);
-      }
-      const MutexLock lock(&p->mu);
-      p->page_reads = reads;
-      p->status = status;
-      p->done = true;
-      p->cv.NotifyAll();
-    });
-    prefetch_ = std::move(pf);
-  }
-
-  /// Waits out (and discards) any in-flight prefetch.
-  void AbandonPrefetch() {
-    if (prefetch_ == nullptr) return;
-    {
-      MutexLock lock(&prefetch_->mu);
-      while (!prefetch_->done) prefetch_->cv.Wait(&prefetch_->mu);
-      if (stats_ != nullptr) {
-        stats_->queue_page_reads += prefetch_->page_reads;
-      }
-    }
-    prefetch_.reset();
+  /// Reads a segment and decodes its records into `items` (sized to
+  /// seg->count()), in append order.
+  static Status LoadSegment(SegmentFile* seg, std::vector<T>* items) {
+    std::vector<char> bytes;
+    AMDJ_RETURN_IF_ERROR(seg->ReadAll(&bytes));
+    const char* in = bytes.data();
+    for (T& item : *items) in += Codec::Decode(in, &item);
+    AMDJ_CHECK(in == bytes.data() + bytes.size())
+        << "segment bytes do not decode to its record count";
+    return Status::OK();
   }
 
   Options options_;
@@ -960,7 +823,6 @@ class HybridQueue {
   geom::KeyVal open_run_key_ = geom::KeyVal::Zero();
 
   std::vector<std::unique_ptr<SegmentFile>> segments_;  // by lower_bound asc
-  std::unique_ptr<Prefetch> prefetch_;
 
   uint64_t mem_count_ = 0;    ///< Entries in the memory tier.
   uint64_t total_count_ = 0;  ///< Memory + segments (incl. phantom staged).
@@ -971,8 +833,6 @@ class HybridQueue {
   uint64_t splits_ = 0;
   uint64_t swapins_ = 0;
   uint64_t refines_ = 0;
-  uint64_t prefetch_hits_ = 0;
-  uint64_t prefetch_waits_ = 0;
 
   /// Confinement owner: bound to the first mutating caller (see the class
   /// comment's concurrency contract).

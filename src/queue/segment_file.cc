@@ -1,315 +1,126 @@
 #include "queue/segment_file.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <utility>
 
-#include "common/logging.h"
-#include "common/metrics.h"
-
 namespace amdj::queue {
 
-SegmentFile::SegmentFile(storage::DiskManager* disk, size_t record_size,
-                         JoinStats* stats, ThreadPool* io_pool,
-                         Tracer* tracer)
-    : disk_(disk),
-      record_size_(record_size),
-      stats_(stats),
-      io_pool_(io_pool),
-      tracer_(tracer) {
-  AMDJ_CHECK(record_size_ >= 1 && record_size_ <= storage::kPageSize);
-  // The write buffer grows on first Append; empty segments (predetermined
-  // hybrid-queue ranges that never receive an entry) stay tiny.
-}
+SegmentFile::SegmentFile(storage::DiskManager* disk, JoinStats* stats)
+    : disk_(disk), stats_(stats) {}
 
-SegmentFile::~SegmentFile() {
-  if (disk_ != nullptr) {
-    // Workers may still be writing to pages_ entries; freeing a page out
-    // from under an inflight write would let the allocator hand it to
-    // someone else mid-write.
-    (void)WaitAllWrites();
-    for (storage::PageId id : pages_) disk_->FreePage(id);
-  }
-}
+SegmentFile::~SegmentFile() { FreePages(); }
 
 SegmentFile::SegmentFile(SegmentFile&& other) noexcept
     : lower_bound(other.lower_bound),
-      disk_(other.disk_),
-      record_size_(other.record_size_),
+      disk_(std::exchange(other.disk_, nullptr)),
       stats_(other.stats_),
-      io_pool_(other.io_pool_),
-      tracer_(other.tracer_),
-      count_(other.count_),
-      submitted_seq_(other.submitted_seq_) {
-  // Inflight workers hold a pointer to `other`'s handshake state, which a
-  // move cannot transplant (the mutex is pinned) — quiesce first, then the
-  // byte-level state moves freely and only the sticky error needs carrying.
-  const Status drained = other.WaitAllWrites();
-  pages_ = std::move(other.pages_);
-  write_buffer_ = std::move(other.write_buffer_);
-  {
-    const MutexLock lock(&io_mu_);
-    async_error_ = drained;
-  }
-  other.disk_ = nullptr;
+      count_(std::exchange(other.count_, 0)),
+      pages_(std::move(other.pages_)),
+      buffer_(std::move(other.buffer_)) {
   other.pages_.clear();
-  other.count_ = 0;
+  other.buffer_.clear();
 }
 
 SegmentFile& SegmentFile::operator=(SegmentFile&& other) noexcept {
   if (this != &other) {
-    const Status drained = other.WaitAllWrites();
-    if (disk_ != nullptr) {
-      (void)WaitAllWrites();
-      for (storage::PageId id : pages_) disk_->FreePage(id);
-    }
+    FreePages();
     lower_bound = other.lower_bound;
-    disk_ = other.disk_;
-    record_size_ = other.record_size_;
+    disk_ = std::exchange(other.disk_, nullptr);
     stats_ = other.stats_;
-    io_pool_ = other.io_pool_;
-    tracer_ = other.tracer_;
-    count_ = other.count_;
-    submitted_seq_ = other.submitted_seq_;
+    count_ = std::exchange(other.count_, 0);
     pages_ = std::move(other.pages_);
-    write_buffer_ = std::move(other.write_buffer_);
-    {
-      const MutexLock lock(&io_mu_);
-      async_error_ = drained;
-    }
-    other.disk_ = nullptr;
+    buffer_ = std::move(other.buffer_);
     other.pages_.clear();
-    other.count_ = 0;
+    other.buffer_.clear();
   }
   return *this;
 }
 
-Status SegmentFile::Append(const void* record) {
-  if (write_buffer_.size() + record_size_ > storage::kPageSize) {
-    // A previous FlushBuffer failed and left a full buffer behind; retry
-    // it before accepting more data, or the buffer would outgrow the
-    // one-page flush staging area.
-    AMDJ_RETURN_IF_ERROR(FlushBuffer());
+Status SegmentFile::Append(const void* bytes, size_t size, uint64_t records) {
+  // A failed write left a full page staged: retry it before accepting more,
+  // so appends to a dead disk cannot grow the buffer without bound.
+  if (buffer_.size() >= storage::kPageSize) {
+    AMDJ_RETURN_IF_ERROR(FlushFullPages());
   }
-  const char* bytes = static_cast<const char*>(record);
-  write_buffer_.insert(write_buffer_.end(), bytes, bytes + record_size_);
-  ++count_;
-  if (write_buffer_.size() + record_size_ > storage::kPageSize) {
-    // Buffer cannot take another record: flush it as a full page.
-    AMDJ_RETURN_IF_ERROR(FlushBuffer());
-  }
-  return Status::OK();
-}
-
-Status SegmentFile::AppendMany(const void* records, size_t n) {
-  const char* src = static_cast<const char*>(records);
-  const size_t per_page = RecordsPerPage();
-  while (n > 0) {
-    if (write_buffer_.size() + record_size_ > storage::kPageSize) {
-      // Retry a flush a previous failed call left behind (same protocol
-      // as Append).
-      AMDJ_RETURN_IF_ERROR(FlushBuffer());
-    }
-    if (write_buffer_.empty() && n >= per_page) {
-      // Full page straight from the caller's array — no staging copy.
-      std::vector<char> page(storage::kPageSize, 0);
-      std::memcpy(page.data(), src, per_page * record_size_);
-      AMDJ_RETURN_IF_ERROR(WritePageOut(std::move(page)));
-      count_ += per_page;
-      src += per_page * record_size_;
-      n -= per_page;
-      continue;
-    }
-    // Partial page (head that tops off a non-empty buffer, or the tail):
-    // stage as many records as fit.
-    const size_t room =
-        (storage::kPageSize - write_buffer_.size()) / record_size_;
-    const size_t take = std::min(room, n);
-    write_buffer_.insert(write_buffer_.end(), src,
-                         src + take * record_size_);
-    count_ += take;
-    src += take * record_size_;
-    n -= take;
-    if (write_buffer_.size() + record_size_ > storage::kPageSize) {
-      AMDJ_RETURN_IF_ERROR(FlushBuffer());
-    }
-  }
-  return Status::OK();
-}
-
-Status SegmentFile::FlushBuffer() {
-  std::vector<char> page(storage::kPageSize, 0);
-  std::memcpy(page.data(), write_buffer_.data(), write_buffer_.size());
-  AMDJ_RETURN_IF_ERROR(WritePageOut(std::move(page)));
-  write_buffer_.clear();
-  return Status::OK();
-}
-
-Status SegmentFile::WritePageOut(std::vector<char> page) {
-  if (io_pool_ == nullptr) {
-    const storage::PageId id = disk_->AllocatePage();
-    const Status written = disk_->WritePage(id, page.data());
+  const char* src = static_cast<const char*>(bytes);
+  const char* const end = src + size;
+  count_ += records;
+  // Top off the buffered page; then write whole pages straight from the
+  // caller's bytes and stage only the tail. On a failed write every byte
+  // not yet on disk is staged, to be retried.
+  const size_t top = std::min(size, storage::kPageSize - buffer_.size());
+  buffer_.insert(buffer_.end(), src, src + top);
+  src += top;
+  if (buffer_.size() == storage::kPageSize) {
+    const Status written = WritePage(buffer_.data());
     if (!written.ok()) {
-      // The page is neither recorded in pages_ nor reachable any other
-      // way: return it to the allocator or it leaks for the disk's
-      // lifetime. The caller keeps the staged records (count_ already
-      // covers them), so a healed disk can retry the flush.
-      disk_->FreePage(id);
+      buffer_.insert(buffer_.end(), src, end);
       return written;
     }
-    if (stats_ != nullptr) ++stats_->queue_page_writes;
-    pages_.push_back(id);
-    return Status::OK();
+    buffer_.clear();
   }
+  for (; end - src >= static_cast<ptrdiff_t>(storage::kPageSize);
+       src += storage::kPageSize) {
+    const Status written = WritePage(src);
+    if (!written.ok()) {
+      buffer_.assign(src, end);
+      return written;
+    }
+  }
+  buffer_.insert(buffer_.end(), src, end);
+  return Status::OK();
+}
 
-  // Async path. Fail fast on a sticky error — the segment is poisoned and
-  // submitting more writes after a failure would only lose more data.
-  AMDJ_RETURN_IF_ERROR(AsyncErrorSnapshot());
+Status SegmentFile::FlushFullPages() {
+  size_t flushed = 0;
+  Status status = Status::OK();
+  while (status.ok() && buffer_.size() - flushed >= storage::kPageSize) {
+    status = WritePage(buffer_.data() + flushed);
+    if (status.ok()) flushed += storage::kPageSize;
+  }
+  buffer_.erase(buffer_.begin(), buffer_.begin() + flushed);
+  return status;
+}
 
+Status SegmentFile::WritePage(const char* page) {
   const storage::PageId id = disk_->AllocatePage();
-  uint64_t seq;
-  {
-    const MutexLock lock(&io_mu_);
-    // Double-buffer backpressure: at most kMaxInflightWrites pages in
-    // flight; block (briefly — a page write) for the oldest to retire.
-    if (pending_seqs_.size() >= kMaxInflightWrites) {
-      static Histogram* stall_histogram = MetricsRegistry::Global()->GetHistogram(
-          "amdj_spill_write_stall_ns", "",
-          "Producer stalls waiting for an in-flight spill write to retire");
-      const uint64_t stall_start = MetricsEnabled() ? MetricsNowNanos() : 0;
-      while (pending_seqs_.size() >= kMaxInflightWrites) io_cv_.Wait(&io_mu_);
-      if (stall_start != 0) {
-        stall_histogram->Observe(MetricsNowNanos() - stall_start);
-      }
-    }
-    seq = ++submitted_seq_;
-    pending_seqs_.push_back(seq);
+  const Status written = disk_->WritePage(id, page);
+  if (!written.ok()) {
+    // The page is not recorded in pages_: return it to the allocator or it
+    // leaks for the disk's lifetime.
+    disk_->FreePage(id);
+    return written;
   }
+  if (stats_ != nullptr) ++stats_->queue_page_writes;
   pages_.push_back(id);
-  // The task owns the page bytes; it touches only the thread-safe disk
-  // manager, the thread-safe tracer, and the io_mu_ handshake — never the
-  // coordinator-confined structure (pages_/count_/write_buffer_/stats_).
-  storage::DiskManager* disk = disk_;
-  Tracer* tracer = tracer_;
-  io_pool_->Submit(
-      [this, disk, tracer, id, seq, data = std::move(page)]() mutable {
-        Status written;
-        {
-          const TraceSpan span(tracer, "spill_write_io",
-                               {{"page", static_cast<double>(id)},
-                                {"seq", static_cast<double>(seq)}});
-          written = disk->WritePage(id, data.data());
-        }
-        const MutexLock lock(&io_mu_);
-        pending_seqs_.erase(
-            std::find(pending_seqs_.begin(), pending_seqs_.end(), seq));
-        if (written.ok()) {
-          ++unfolded_page_writes_;
-        } else if (async_error_.ok()) {
-          async_error_ = written;
-        }
-        io_cv_.NotifyAll();
-      });
-  return Status::OK();
-}
-
-Status SegmentFile::AsyncErrorSnapshot() {
-  const MutexLock lock(&io_mu_);
-  return async_error_;
-}
-
-Status SegmentFile::WaitAllWrites() {
-  if (io_pool_ == nullptr) return Status::OK();
-  const MutexLock lock(&io_mu_);
-  if (!pending_seqs_.empty()) {
-    static Histogram* drain_histogram = MetricsRegistry::Global()->GetHistogram(
-        "amdj_spill_drain_wait_ns", "",
-        "Reader waits for all in-flight spill writes to retire");
-    const uint64_t drain_start = MetricsEnabled() ? MetricsNowNanos() : 0;
-    while (!pending_seqs_.empty()) io_cv_.Wait(&io_mu_);
-    if (drain_start != 0) {
-      drain_histogram->Observe(MetricsNowNanos() - drain_start);
-    }
-  }
-  if (stats_ != nullptr && unfolded_page_writes_ > 0) {
-    stats_->queue_page_writes += unfolded_page_writes_;
-    unfolded_page_writes_ = 0;
-  }
-  return async_error_;
-}
-
-Status SegmentFile::WaitWritesThrough(uint64_t seq) {
-  const MutexLock lock(&io_mu_);
-  // No lambda predicate: the thread-safety analysis cannot see an
-  // enclosing-scope lock through a lambda boundary.
-  for (;;) {
-    bool pending_through = false;
-    for (uint64_t pending : pending_seqs_) {
-      if (pending <= seq) {
-        pending_through = true;
-        break;
-      }
-    }
-    if (!pending_through) break;
-    io_cv_.Wait(&io_mu_);
-  }
-  return async_error_;
-}
-
-Status SegmentFile::ReadPagesInto(storage::DiskManager* disk,
-                                  const std::vector<storage::PageId>& page_ids,
-                                  size_t record_size, size_t records_per_page,
-                                  uint64_t max_records, char* out,
-                                  uint64_t* pages_read) {
-  char page[storage::kPageSize];
-  uint64_t remaining = max_records;
-  for (storage::PageId id : page_ids) {
-    if (remaining == 0) break;
-    AMDJ_RETURN_IF_ERROR(disk->ReadPage(id, page));
-    ++*pages_read;
-    const size_t records = static_cast<size_t>(
-        std::min<uint64_t>(records_per_page, remaining));
-    std::memcpy(out, page, records * record_size);
-    out += records * record_size;
-    remaining -= records;
-  }
-  return Status::OK();
-}
-
-Status SegmentFile::ReadAllInto(char* out) { return ReadTailInto(0, out); }
-
-Status SegmentFile::ReadTailInto(size_t skip_pages, char* out) {
-  AMDJ_RETURN_IF_ERROR(WaitAllWrites());
-  AMDJ_CHECK(skip_pages <= pages_.size());
-  const uint64_t on_disk = count_ - buffered_records();
-  const uint64_t skipped =
-      static_cast<uint64_t>(skip_pages) * RecordsPerPage();
-  const std::vector<storage::PageId> tail(pages_.begin() + skip_pages,
-                                          pages_.end());
-  uint64_t pages_read = 0;
-  const Status read = ReadPagesInto(disk_, tail, record_size_,
-                                    RecordsPerPage(), on_disk - skipped,
-                                    out, &pages_read);
-  if (stats_ != nullptr) stats_->queue_page_reads += pages_read;
-  AMDJ_RETURN_IF_ERROR(read);
-  std::memcpy(out + (on_disk - skipped) * record_size_,
-              write_buffer_.data(), write_buffer_.size());
   return Status::OK();
 }
 
 Status SegmentFile::ReadAll(std::vector<char>* out) {
-  out->resize(count_ * record_size_);
-  return ReadAllInto(out->data());
+  out->resize(byte_size());
+  char* dst = out->data();
+  for (storage::PageId id : pages_) {
+    AMDJ_RETURN_IF_ERROR(disk_->ReadPage(id, dst));
+    if (stats_ != nullptr) ++stats_->queue_page_reads;
+    dst += storage::kPageSize;
+  }
+  // An empty buffer's data() may be null, which memcpy must never see.
+  if (!buffer_.empty()) std::memcpy(dst, buffer_.data(), buffer_.size());
+  return Status::OK();
 }
 
 void SegmentFile::Drop() {
-  (void)WaitAllWrites();
-  for (storage::PageId id : pages_) disk_->FreePage(id);
+  FreePages();
   pages_.clear();
-  write_buffer_.clear();
+  buffer_.clear();
   count_ = 0;
-  const MutexLock lock(&io_mu_);
-  async_error_ = Status::OK();
+}
+
+void SegmentFile::FreePages() {
+  if (disk_ == nullptr) return;
+  for (storage::PageId id : pages_) disk_->FreePage(id);
 }
 
 }  // namespace amdj::queue

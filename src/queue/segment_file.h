@@ -4,54 +4,33 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
-#include "common/trace.h"
 #include "geom/units.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 
 namespace amdj::queue {
 
-/// An unsorted on-disk pile of fixed-size records, the backing store of one
+/// An unsorted on-disk pile of encoded records, the backing store of one
 /// hybrid-queue partition (the paper stores every partition beyond the
 /// in-memory heap "on disk as merely unsorted piles", Section 4.4).
 ///
-/// Records are appended through a one-page write buffer (one at a time via
-/// Append, or in page-sized batches via AppendMany); ReadAllInto streams
-/// every record back with a single copy. Page reads/writes are counted into
-/// the optional JoinStats sink (queue_page_reads / queue_page_writes).
+/// The pile is a byte stream: records are appended as encoded bytes (see
+/// queue/spill_codec.h) and may straddle page boundaries, so every page but
+/// the last is full. Whole pages are written synchronously as the stream
+/// grows; the tail stays in a write buffer until it fills a page. ReadAll
+/// returns the whole stream in append order. Page reads/writes are counted
+/// into the optional JoinStats sink (queue_page_reads / queue_page_writes).
 ///
-/// Asynchronous spill I/O: with an `io_pool`, full pages are written on the
-/// pool instead of inline, double-buffered — at most
-/// `kMaxInflightWrites` page writes are in flight, and submitting a third
-/// blocks until the oldest completes. The structural state (pages_, count_,
-/// write_buffer_) stays coordinator-confined like the owning queue; workers
-/// touch only their captured page buffer, the thread-safe DiskManager, and
-/// the annotated async-completion state below. Completion handshake:
-/// every submitted page gets a sequence number; WaitWritesThrough(seq)
-/// blocks until all submissions <= seq have completed, which is what the
-/// queue's prefetch tasks use to order reads after the writes that produced
-/// the pages (submissions ahead of the prefetch in the pool's FIFO, so the
-/// wait cannot deadlock even on a single-worker pool). Write errors are
-/// sticky: the first failure is remembered and returned by every subsequent
-/// harvest (WaitAllWrites / ReadAll* / the next inline flush).
+/// Fault contract: a failed page write frees the page it allocated and
+/// keeps the unwritten bytes buffered (count() already covers their
+/// records), so the next Append or ReadAll on a healed disk retries the
+/// write and loses nothing. A failed read leaves the pile untouched.
 class SegmentFile {
  public:
-  /// At most this many async page writes in flight per segment (the
-  /// "double buffer": one page filling, two draining keeps the disk busy
-  /// without unbounded buffering).
-  static constexpr size_t kMaxInflightWrites = 2;
-
-  /// `record_size` must be in [1, kPageSize]. Ownership is not taken of
-  /// `disk`, `stats`, `io_pool` or `tracer`; `io_pool == nullptr` (the
-  /// default) keeps every write synchronous.
-  SegmentFile(storage::DiskManager* disk, size_t record_size,
-              JoinStats* stats, ThreadPool* io_pool = nullptr,
-              Tracer* tracer = nullptr);
+  /// Ownership is not taken of `disk` or `stats`.
+  SegmentFile(storage::DiskManager* disk, JoinStats* stats);
   ~SegmentFile();
 
   SegmentFile(SegmentFile&& other) noexcept;
@@ -59,126 +38,51 @@ class SegmentFile {
   SegmentFile(const SegmentFile&) = delete;
   SegmentFile& operator=(const SegmentFile&) = delete;
 
-  /// Appends one record of record_size bytes.
-  Status Append(const void* record);
+  /// Appends `size` bytes holding `records` encoded records, then writes
+  /// out every page the buffered stream has filled. The bytes are staged
+  /// (and counted) even when that write fails; they are refused only when
+  /// retrying an earlier failed write fails again.
+  Status Append(const void* bytes, size_t size, uint64_t records = 1);
 
-  /// Appends `n` records packed back-to-back at `records`, staging them
-  /// into page-sized writes (the bulk path used by hybrid-queue spills —
-  /// one page write per RecordsPerPage() records instead of per-record
-  /// buffer bookkeeping).
-  Status AppendMany(const void* records, size_t n);
-
-  /// Copies all records (buffered + on disk) into `out`, packed
-  /// back-to-back; `out` must have room for count() * record_size bytes.
-  /// One copy per record (page buffer -> out); harvests pending async
-  /// writes first.
-  Status ReadAllInto(char* out);
-
-  /// Like ReadAllInto but skips the first `skip_pages` pages (each holding
-  /// exactly RecordsPerPage() records — pages are only ever written full).
-  /// The hybrid queue uses this to read just the post-prefetch-snapshot
-  /// tail of a segment.
-  Status ReadTailInto(size_t skip_pages, char* out);
-
-  /// Convenience wrapper over ReadAllInto: resizes `out` to
-  /// count() * record_size bytes.
+  /// Resizes `out` to byte_size() and fills it with the whole stream in
+  /// append order: the flushed pages, then the buffered tail.
   Status ReadAll(std::vector<char>* out);
 
-  /// Releases all pages back to the disk manager and empties the pile
-  /// (after harvesting pending async writes).
+  /// Releases all pages back to the disk manager and empties the pile.
   void Drop();
 
-  /// Blocks until every submitted async write has completed, folds the
-  /// deferred page-write stats into the JoinStats sink, and returns the
-  /// sticky first write error (OK when none, or when writes are
-  /// synchronous). Coordinator-thread only.
-  Status WaitAllWrites();
-
-  /// Blocks until all async writes with submission sequence <= `seq` have
-  /// completed and returns the sticky error. Safe from any thread; used by
-  /// prefetch workers (see the class comment's handshake).
-  Status WaitWritesThrough(uint64_t seq) AMDJ_EXCLUDES(io_mu_);
-
-  /// Sequence number of the most recent submitted async write (0 when none
-  /// yet). Coordinator-thread only (it is the only submitter).
-  uint64_t write_seq() const { return submitted_seq_; }
-
-  /// The page ids holding flushed records, in append order. Records fill
-  /// RecordsPerPage() per page; the in-memory write buffer holds the tail.
-  /// Coordinator-thread only; pages already submitted for writing are
-  /// readable once WaitWritesThrough(write_seq()) returned (the prefetch
-  /// contract).
+  /// The page ids holding flushed bytes, in append order (all full).
   const std::vector<storage::PageId>& pages() const { return pages_; }
 
-  /// Records currently staged in the write buffer (not yet on any page).
-  size_t buffered_records() const {
-    return write_buffer_.size() / record_size_;
-  }
+  /// Bytes staged in the write buffer (not yet on any page).
+  size_t buffered_bytes() const { return buffer_.size(); }
 
+  /// Records appended (on disk + buffered).
   uint64_t count() const { return count_; }
-  size_t record_size() const { return record_size_; }
-  size_t RecordsPerPage() const { return storage::kPageSize / record_size_; }
-
-  /// Reads `page_ids` (each holding up to `records_per_page` records of
-  /// `record_size` bytes) from `disk`, packing up to `max_records` records
-  /// back-to-back into `out`. Pure function of its arguments — no
-  /// SegmentFile state — so prefetch workers can run it on a page-list
-  /// snapshot while the coordinator keeps appending. `*pages_read` is
-  /// incremented per page fetched (the worker-local stand-in for the
-  /// coordinator-confined JoinStats sink).
-  static Status ReadPagesInto(storage::DiskManager* disk,
-                              const std::vector<storage::PageId>& page_ids,
-                              size_t record_size, size_t records_per_page,
-                              uint64_t max_records, char* out,
-                              uint64_t* pages_read);
+  /// Bytes appended (on disk + buffered).
+  uint64_t byte_size() const {
+    return static_cast<uint64_t>(pages_.size()) * storage::kPageSize +
+           buffer_.size();
+  }
 
   /// Inclusive lower bound of the key range this segment holds; used by
   /// HybridQueue to route insertions and order swap-ins.
   geom::KeyVal lower_bound = geom::KeyVal::Zero();
 
  private:
-  /// Writes the buffered records out as one page (inline, or on the io
-  /// pool when configured). On failure the freshly allocated page is freed
-  /// (not leaked) and the buffer is kept so the flush can be retried.
-  Status FlushBuffer();
-
-  /// Allocates a page id, records it in pages_, and writes `page`
-  /// (kPageSize bytes) to it — inline when no io pool, otherwise as an
-  /// async task taking ownership of `page`. Inline errors unrecord the
-  /// page; async errors are sticky (harvested later).
-  Status WritePageOut(std::vector<char> page);
-
-  /// Returns (without clearing) the sticky async error.
-  Status AsyncErrorSnapshot() AMDJ_EXCLUDES(io_mu_);
+  /// Writes every full page at the front of the buffer (the retry after a
+  /// failed write). Unwritten bytes stay staged.
+  Status FlushFullPages();
+  /// Allocates a page and writes kPageSize bytes at `page` to it; on
+  /// failure the page is freed again and nothing is recorded.
+  Status WritePage(const char* page);
+  void FreePages();
 
   storage::DiskManager* disk_;
-  size_t record_size_;
   JoinStats* stats_;
-  ThreadPool* io_pool_;
-  Tracer* tracer_;
   uint64_t count_ = 0;
   std::vector<storage::PageId> pages_;
-  std::vector<char> write_buffer_;  // < one page of pending records
-  /// Submission counter (coordinator-only writer; read under io_mu_ by
-  /// waiters via completed_seq_ comparisons only).
-  uint64_t submitted_seq_ = 0;
-
-  /// Async-write completion state. Guards the handshake between the
-  /// coordinator (submit/backpressure/harvest) and io-pool workers
-  /// (completion). Mutable state only — the queue's structural invariants
-  /// never depend on it mid-flight.
-  mutable Mutex io_mu_;
-  CondVar io_cv_;
-  /// Sequence numbers of submitted-but-incomplete writes (size <=
-  /// kMaxInflightWrites). A vector, not a counter: two inflight writes can
-  /// complete out of order across pool workers, and WaitWritesThrough(seq)
-  /// must not return while any submission <= seq is still pending.
-  std::vector<uint64_t> pending_seqs_ AMDJ_GUARDED_BY(io_mu_);
-  /// First async write failure, sticky.
-  Status async_error_ AMDJ_GUARDED_BY(io_mu_) = Status::OK();
-  /// Async page writes not yet folded into stats_ (workers must not touch
-  /// the coordinator-confined JoinStats sink).
-  uint64_t unfolded_page_writes_ AMDJ_GUARDED_BY(io_mu_) = 0;
+  std::vector<char> buffer_;  // unwritten tail; < one page unless a write failed
 };
 
 }  // namespace amdj::queue

@@ -114,22 +114,14 @@ JoinService::JoinService(const rtree::RTree& r, const rtree::RTree& s,
       s_(s),
       options_(options),
       max_inflight_(std::max<uint32_t>(1, options.max_inflight)),
-      per_query_queue_memory_(std::max(
-          kMinQueueMemoryBytes,
-          options.queue_memory_budget_bytes / max_inflight_ /
-              // Async spill I/O holds pages and prefetch buffers outside
-              // the accounted in-memory tier (see Options doc): halve the
-              // clamp so the total stays within the budget.
-              (options.spill_io_threads > 0 ? 2 : 1))),
+      per_query_queue_memory_(
+          std::max(kMinQueueMemoryBytes,
+                   options.queue_memory_budget_bytes / max_inflight_)),
       shared_(std::make_unique<SharedWorkRegistry>(
           options.shared_cache_entries,
           GlobalServiceMetrics().shared_cache_entries)),
       pool_(std::make_unique<ThreadPool>(max_inflight_,
                                          options.name_prefix)) {
-  if (options.spill_io_threads > 0) {
-    io_pool_ = std::make_unique<ThreadPool>(options.spill_io_threads,
-                                            options.name_prefix + "-io");
-  }
   if (options.shards > 1) {
     options_.shard_threads = std::max<uint32_t>(1, options.shard_threads);
     shard_disk_ = std::make_unique<storage::InMemoryDiskManager>();
@@ -176,11 +168,8 @@ core::JoinOptions JoinService::EffectiveOptions(
   }
   // The session spill disk is per-execution; whatever the caller set is
   // replaced (a shared spill disk across concurrent queries would mix
-  // their segments and outlive neither cleanly). Likewise the spill I/O
-  // pool: the service's own (or none) — a caller-supplied pool could be
-  // the query pool itself, which deadlocks (see Options).
+  // their segments and outlive neither cleanly).
   effective.queue_disk = nullptr;
-  effective.spill_io_pool = nullptr;
   return effective;
 }
 
@@ -402,7 +391,6 @@ JoinResponse JoinService::Execute(const JoinRequest& request,
   // queries.
   storage::InMemoryDiskManager session_disk;
   if (options_.session_spill_disk) options.queue_disk = &session_disk;
-  options.spill_io_pool = io_pool_.get();
 
   Timer exec;
   ExecuteRequest(request, options, &response);

@@ -96,17 +96,6 @@ class JoinService {
     /// and the memory clamp is only nominal — spilling is what makes the
     /// budget enforceable.
     bool session_spill_disk = true;
-    /// Dedicated threads for asynchronous main-queue spill I/O, shared by
-    /// all in-flight queries. 0 (the default) keeps spill I/O synchronous
-    /// on the query worker. Deliberately a separate pool from the query
-    /// workers: a spill write queued behind queries that are themselves
-    /// waiting on spill I/O would deadlock. When on, the per-query memory
-    /// clamp is halved — async spilling holds up to
-    /// SegmentFile::kMaxInflightWrites pages per segment plus one
-    /// prefetched segment (up to a full in-memory tier) outside the
-    /// queue's accounted tier, so a query's resident footprint can
-    /// transiently double.
-    uint32_t spill_io_threads = 0;
     /// Shard count for partition-parallel KDJ execution. 1 (the default)
     /// keeps the classic single-pair path. Values > 1 make the service
     /// split both data sets into `shards` STR tiles at construction (one
@@ -260,11 +249,6 @@ class JoinService {
   /// then mutex_ (Submit nests the admission check inside the registry's
   /// membership check so the two decisions are one atomic step).
   std::unique_ptr<SharedWorkRegistry> shared_;
-
-  /// Spill I/O pool (Options::spill_io_threads > 0 only). Declared before
-  /// pool_: query workers submit I/O tasks here, so it must outlive the
-  /// query pool's drain.
-  std::unique_ptr<ThreadPool> io_pool_;
 
   /// Shard state (Options::shards > 1 only). The partitions are built once
   /// at construction from the unsharded trees; a failure is remembered and

@@ -140,16 +140,16 @@ TEST(SegmentFileFaultTest, FailedSpillLeaksNoPages) {
   char record[kRecordSize];
   std::memset(record, 'r', sizeof(record));
   {
-    queue::SegmentFile segment(&faulty, kRecordSize, nullptr);
+    queue::SegmentFile segment(&faulty, nullptr);
     // Two successful spills, then arm the fault.
     for (size_t i = 0; i < 2 * per_page; ++i) {
-      ASSERT_TRUE(segment.Append(record).ok());
+      ASSERT_TRUE(segment.Append(record, kRecordSize).ok());
     }
     faulty.FailWritesAfter(0);
     Status status = Status::OK();
     size_t appended = 0;
     while (status.ok() && appended < 4 * per_page) {
-      status = segment.Append(record);
+      status = segment.Append(record, kRecordSize);
       if (status.ok()) ++appended;
     }
     ASSERT_EQ(status.code(), StatusCode::kIOError);
@@ -161,7 +161,7 @@ TEST(SegmentFileFaultTest, FailedSpillLeaksNoPages) {
     EXPECT_EQ(segment.count(), 2 * per_page + appended + 1);
     faulty.Heal();
     for (size_t i = appended + 1; i < 4 * per_page; ++i) {
-      ASSERT_TRUE(segment.Append(record).ok());
+      ASSERT_TRUE(segment.Append(record, kRecordSize).ok());
     }
     EXPECT_EQ(segment.count(), 6 * per_page);
     std::vector<char> all;

@@ -47,15 +47,23 @@ TEST_P(KdjCorrectnessTest, MatchesBruteForce) {
   JoinFixture f = MakeFixture(r_data, s_data, /*fanout=*/8);
   const auto brute = BruteForceDistances(f.r_objects, f.s_objects);
 
-  JoinOptions options;
-  options.queue_disk = f.queue_disk.get();
-  options.queue_memory_bytes = 16 * 1024;  // force spilling paths too
-  JoinStats stats;
-  auto result = RunKDistanceJoin(*f.r, *f.s, k, algorithm, options, &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectMatchesBruteForce(*result, brute, k, f.r_objects, f.s_objects);
-  ExpectNoDuplicates(*result);
-  EXPECT_EQ(stats.pairs_produced, result->size());
+  // Force the spilling paths too. A spill page holds 240 object pairs, so
+  // page I/O needs segments that large: depending on the data and k, the
+  // queue reaches it at a tiny budget (small piles, many splits) or a
+  // larger one (piles of one memory capacity each), so run several.
+  for (const size_t memory_bytes : {2 * 1024, 16 * 1024, 32 * 1024}) {
+    SCOPED_TRACE(testing::Message() << "queue memory " << memory_bytes);
+    JoinOptions options;
+    options.queue_disk = f.queue_disk.get();
+    options.queue_memory_bytes = memory_bytes;
+    JoinStats stats;
+    auto result =
+        RunKDistanceJoin(*f.r, *f.s, k, algorithm, options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectMatchesBruteForce(*result, brute, k, f.r_objects, f.s_objects);
+    ExpectNoDuplicates(*result);
+    EXPECT_EQ(stats.pairs_produced, result->size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

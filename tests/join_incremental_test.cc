@@ -91,16 +91,29 @@ TEST_P(IdjTest, EmptyInputsFinishImmediately) {
 TEST_P(IdjTest, SpillingQueueDoesNotChangeResults) {
   JoinFixture f = ClusterFixture(150, 120);
   const auto brute = BruteForceDistances(f.r_objects, f.s_objects);
-  JoinOptions options;
-  options.queue_disk = f.queue_disk.get();
-  options.queue_memory_bytes = 8 * 1024;  // tiny: heavy spilling
-  auto cursor =
-      OpenIncrementalJoin(*f.r, *f.s, GetParam(), options, nullptr);
-  ASSERT_TRUE(cursor.ok());
-  const auto results = Drain(**cursor, 2000);
-  ASSERT_EQ(results.size(), 2000u);
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_NEAR(results[i].distance, brute[i], 1e-9) << "rank " << i;
+  // 8 KB: tiny, heavy splitting and swap-in, with piles too small to fill
+  // a 240-record spill page. 32 KB: piles of one memory capacity each,
+  // which do reach the disk.
+  for (const size_t memory_bytes : {8 * 1024, 32 * 1024}) {
+    SCOPED_TRACE(testing::Message() << "queue memory " << memory_bytes);
+    JoinOptions options;
+    options.queue_disk = f.queue_disk.get();
+    options.queue_memory_bytes = memory_bytes;
+    JoinStats stats;
+    auto cursor =
+        OpenIncrementalJoin(*f.r, *f.s, GetParam(), options, &stats);
+    ASSERT_TRUE(cursor.ok());
+    const auto results = Drain(**cursor, 2000);
+    ASSERT_EQ(results.size(), 2000u);
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_NEAR(results[i].distance, brute[i], 1e-9) << "rank " << i;
+    }
+    cursor->reset();
+    EXPECT_GT(stats.queue_swapins, 0u);
+    if (memory_bytes == 32 * 1024) {
+      EXPECT_GT(stats.queue_page_writes, 0u);
+      EXPECT_GT(stats.queue_page_reads, 0u);
+    }
   }
 }
 
